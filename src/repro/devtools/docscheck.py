@@ -1,6 +1,7 @@
 """docscheck: keep the documentation site honest.
 
-Scans ``docs/**/*.md`` and ``README.md`` for two classes of rot:
+Scans ``docs/**/*.md``, ``README.md``, ``DESIGN.md`` and
+``EXPERIMENTS.md`` for three classes of rot:
 
 * **dead relative links** — ``[text](path.md)`` targets that no longer
   exist on disk (external ``http(s)://`` / ``mailto:`` links and pure
@@ -10,7 +11,13 @@ Scans ``docs/**/*.md`` and ``README.md`` for two classes of rot:
   ``src/``.  A reference may end in up to two attribute segments: a
   ``ClassName``/dunder tail is accepted structurally, a lowercase tail
   must appear in the owning module's ``__all__`` (parsed statically, the
-  package is never imported).
+  package is never imported);
+* **dead repo paths** — inline-code mentions of files under
+  ``benchmarks/``, ``scripts/``, ``examples/`` or ``tests/`` (e.g.
+  ```` `benchmarks/bench_table06_latent_classes.py` ````) that do not
+  exist relative to the repository root.  A pytest node suffix
+  (``::TestName``) is dropped first; placeholders and globs (``<id>``,
+  ``*``) are not checked.
 
 Fenced code blocks are skipped entirely, so tutorial shell transcripts
 and Python examples never trip the checker.  ``python -m repro
@@ -42,6 +49,20 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)<>\s]+)\)")
 #: Inline-code reference to the package: ```` `repro.something[...]` ````.
 MODULE_RE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 
+#: Repo path inside an inline-code span: ```` `benchmarks/bench_x.py` ````.
+PATH_RE = re.compile(
+    r"(?<![\w./-])((?:benchmarks|scripts|examples|tests)/[^\s`'\"),;]*)"
+)
+
+#: Inline-code span (single backticks, no nesting).
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+
+#: Characters that mark a path as a placeholder or glob, never checked.
+_PLACEHOLDER = set("<>*{}$[]")
+
+#: Top-level files scanned alongside ``docs/``.
+_TOP_LEVEL_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
 #: Link targets that are never checked against the working tree.
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
@@ -52,7 +73,7 @@ class DocFinding:
 
     path: str
     line: int
-    kind: str  # "dead-link" | "dead-module"
+    kind: str  # "dead-link" | "dead-module" | "dead-path"
     detail: str
 
     def format(self) -> str:
@@ -158,15 +179,26 @@ def check_file(path: str, root: str) -> List[DocFinding]:
                     DocFinding(relative, number, "dead-module",
                                f"unresolvable reference: {reference}")
                 )
+        for span in CODE_SPAN_RE.finditer(line):
+            for match in PATH_RE.finditer(span.group(1)):
+                target = match.group(1).split("::", 1)[0].rstrip(".:")
+                if _PLACEHOLDER & set(target):
+                    continue
+                if not os.path.exists(os.path.join(root, target)):
+                    findings.append(
+                        DocFinding(relative, number, "dead-path",
+                                   f"path does not exist: {target}")
+                    )
     return findings
 
 
 def docs_files(root: str) -> List[str]:
-    """Every file docscheck covers: ``docs/**/*.md`` plus ``README.md``."""
+    """Every file docscheck covers: the top-level docs plus ``docs/**/*.md``."""
     found: List[str] = []
-    readme = os.path.join(root, "README.md")
-    if os.path.isfile(readme):
-        found.append(readme)
+    for name in _TOP_LEVEL_DOCS:
+        path = os.path.join(root, name)
+        if os.path.isfile(path):
+            found.append(path)
     docs = os.path.join(root, "docs")
     for base, _dirs, names in os.walk(docs):
         for name in sorted(names):

@@ -289,6 +289,12 @@ def table6(ctx: ExperimentContext) -> ExperimentReport:
         lines.append("BIC by class count: " + ", ".join(
             f"k={k}: {v:,.0f}" for k, v in sorted(model.bic_by_k.items())
         ))
+    fit = model.mixture
+    status = (f"converged in {fit.n_iter:,} iterations" if fit.converged
+              else f"NOT converged after {fit.n_iter:,} iterations")
+    lines.append("")
+    lines.append(f"fit: {status} (best of {len(fit.restarts)} restarts), "
+                 f"log-likelihood {fit.log_likelihood:,.1f}")
     return ExperimentReport(
         "table6", "Table 6: average monthly transactions per latent class",
         lines, model,

@@ -12,12 +12,13 @@ classes, and model selection across a class-count range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from ..obs.tracer import get_tracer
 from .information import aic, bic
 
 __all__ = ["PoissonMixtureResult", "fit_poisson_mixture", "select_poisson_mixture"]
@@ -41,6 +42,8 @@ class PoissonMixtureResult:
     feature_names: List[str]
     converged: bool
     n_iter: int
+    #: ``(log_likelihood, converged, n_iter)`` of every EM restart, in order.
+    restarts: List[Tuple[float, bool, int]] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -62,7 +65,8 @@ class PoissonMixtureResult:
     def log_responsibilities(self, Y: np.ndarray) -> np.ndarray:
         """Log posterior class probabilities for each row of ``Y``."""
         Y = np.asarray(Y, dtype=float)
-        log_joint = _log_emission(Y, self.rates) + np.log(self.weights)[None, :]
+        log_factorials = gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+        log_joint = _log_emission(Y, self.rates, log_factorials) + np.log(self.weights)
         return log_joint - logsumexp(log_joint, axis=1, keepdims=True)
 
     def responsibilities(self, Y: np.ndarray) -> np.ndarray:
@@ -73,49 +77,46 @@ class PoissonMixtureResult:
         return self.log_responsibilities(Y).argmax(axis=1)
 
 
-def _log_emission(Y: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """(n, K) log P(y_i | class k) under independent Poissons."""
+def _log_emission(Y: np.ndarray, rates: np.ndarray,
+                  log_factorials: np.ndarray) -> np.ndarray:
+    """(n, K) log P(y_i | class k); ``log_factorials`` is sum_j lgamma(y_ij + 1)."""
     log_rates = np.log(rates)  # rates are floored, so this is finite
     # sum_j [ y_ij log λ_kj - λ_kj - lgamma(y_ij + 1) ]
     term = Y @ log_rates.T - rates.sum(axis=1)[None, :]
-    return term - gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+    return term - log_factorials
 
 
 def _em_once(
-    Y: np.ndarray,
+    U: np.ndarray,
+    counts: np.ndarray,
+    inverse: np.ndarray,
+    log_factorials: np.ndarray,
     k: int,
     rng: np.random.Generator,
     max_iter: int,
     tol: float,
 ) -> Tuple[np.ndarray, np.ndarray, float, bool, int]:
-    n, d = Y.shape
+    """Row-level EM, run on the distinct rows ``U`` weighted by ``counts``."""
+    n, d = len(inverse), U.shape[1]
     # Seed rates from k random observations (jittered, floored).
-    seeds = rng.choice(n, size=k, replace=n < k)
-    rates = Y[seeds] + rng.uniform(0.05, 0.5, size=(k, d))
-    rates = np.maximum(rates, _RATE_FLOOR)
+    seeds = inverse[rng.choice(n, size=k, replace=n < k)]
+    rates = np.maximum(U[seeds] + rng.uniform(0.05, 0.5, size=(k, d)), _RATE_FLOOR)
     weights = np.full(k, 1.0 / k)
 
     loglik = -np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        log_joint = _log_emission(Y, rates) + np.log(weights)[None, :]
+        log_joint = _log_emission(U, rates, log_factorials) + np.log(weights)
         log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-        new_loglik = float(log_norm.sum())
-        resp = np.exp(log_joint - log_norm)  # (n, K)
+        new_loglik = float(counts @ log_norm[:, 0])
+        resp = np.exp(log_joint - log_norm) * counts[:, None]  # (u, K) row mass
 
         mass = resp.sum(axis=0)  # (K,)
-        empty = mass < 1e-8
-        if np.any(empty):
-            # Re-seed dead classes at the worst-explained points.
-            worst = np.argsort(log_norm.ravel())[: int(empty.sum())]
-            for class_index, point in zip(np.where(empty)[0], worst):
-                rates[class_index] = np.maximum(Y[point] + 0.1, _RATE_FLOOR)
-                mass[class_index] = 1.0
-        weights = np.maximum(mass, 1e-8)
-        weights = weights / weights.sum()
-        rates = (resp.T @ Y) / np.maximum(mass[:, None], 1e-8)
-        rates = np.maximum(rates, _RATE_FLOOR)
+        # A dead class keeps a unit mass so its weight stays positive.
+        mass[mass < 1e-8] = 1.0
+        weights = mass / mass.sum()
+        rates = np.maximum((resp.T @ U) / mass[:, None], _RATE_FLOOR)
 
         if np.isfinite(loglik) and abs(new_loglik - loglik) <= tol * (1.0 + abs(loglik)):
             loglik = new_loglik
@@ -129,7 +130,7 @@ def fit_poisson_mixture(
     Y: np.ndarray,
     k: int,
     n_init: int = 5,
-    max_iter: int = 300,
+    max_iter: int = 2000,
     tol: float = 1e-7,
     seed: int = 0,
     feature_names: Optional[Sequence[str]] = None,
@@ -143,14 +144,19 @@ def fit_poisson_mixture(
     if not 1 <= k <= len(Y):
         raise ValueError(f"k must be in 1..{len(Y)}, got {k}")
     rng = np.random.default_rng(seed)
+    # EM over distinct rows weighted by multiplicity is exact and far cheaper.
+    U, inverse, counts = np.unique(Y, axis=0, return_inverse=True, return_counts=True)
+    inverse, counts = inverse.ravel(), counts.astype(float)
+    log_factorials = gammaln(U + 1.0).sum(axis=1, keepdims=True)
 
-    best: Optional[Tuple[np.ndarray, np.ndarray, float, bool, int]] = None
-    for _ in range(max(1, n_init)):
-        candidate = _em_once(Y, k, rng, max_iter, tol)
-        if best is None or candidate[2] > best[2]:
-            best = candidate
-    assert best is not None
-    rates, weights, loglik, converged, n_iter = best
+    runs = [
+        _em_once(U, counts, inverse, log_factorials, k, rng, max_iter, tol)
+        for _ in range(max(1, n_init))
+    ]
+    rates, weights, loglik, converged, n_iter = max(runs, key=lambda run: run[2])
+    tracer = get_tracer()
+    tracer.count("stats.em.fits")
+    tracer.count("stats.em.unconverged", int(not converged))
 
     order = np.argsort(-weights)
     names = list(
@@ -166,6 +172,7 @@ def fit_poisson_mixture(
         feature_names=names,
         converged=converged,
         n_iter=n_iter,
+        restarts=[(run[2], run[3], run[4]) for run in runs],
     )
 
 

@@ -1,5 +1,9 @@
 """Tests for the latent class / transition analysis (§5.1)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,29 @@ class TestClassActivitySeries:
     def test_invalid_role(self, model, tiny_dataset):
         with pytest.raises(ValueError):
             class_activity_series(tiny_dataset, model, role="stolen")
+
+    def test_series_keyed_in_requested_type_order(self, model, tiny_dataset):
+        types = (ContractType.SALE, ContractType.EXCHANGE, ContractType.PURCHASE)
+        series = class_activity_series(tiny_dataset, model, types=types)
+        assert tuple(series) == types
+
+    def test_fig12_text_independent_of_hash_seed(self):
+        # Enum hashes are string hashes, so anything that iterates a set of
+        # contract types reorders the figure when PYTHONHASHSEED changes.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        texts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.join(root, "src"))
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "experiment", "fig12",
+                 "--scale", "0.01", "--seed", "3", "--no-posts"],
+                capture_output=True, text=True, env=env, timeout=240,
+            )
+            assert result.returncode == 0, result.stderr
+            texts.append(result.stdout)
+        assert "EXCHANGE (made)" in texts[0]
+        assert texts[0] == texts[1]
 
 
 class TestTopFlows:

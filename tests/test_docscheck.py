@@ -113,18 +113,55 @@ class TestModuleRefs:
         assert check_repo(str(root)) == []
 
 
+class TestRepoPaths:
+    def test_old_bench_spelling_is_flagged(self, tmp_path):
+        root = make_repo(tmp_path, {
+            "DESIGN.md": (
+                "| Table 6 | `benchmarks/bench_table06_latent_classes.py` |\n"
+                "| Table 6 | `benchmarks/bench_table6_latent_classes.py` |\n"
+            ),
+            "benchmarks/bench_table06_latent_classes.py": "",
+        })
+        findings = check_repo(str(root))
+        assert kinds(findings) == [("dead-path", 2)]
+        assert "bench_table6_latent_classes.py" in findings[0].detail
+
+    def test_paths_inside_commands_and_node_ids(self, tmp_path):
+        root = make_repo(tmp_path, {
+            "EXPERIMENTS.md": (
+                "run `python scripts/gone.py --fast` or\n"
+                "`tests/test_x.py::TestY::test_z`\n"
+            ),
+            "tests/test_x.py": "",
+        })
+        findings = check_repo(str(root))
+        assert kinds(findings) == [("dead-path", 1)]
+        assert "scripts/gone.py" in findings[0].detail
+
+    def test_placeholders_and_plain_prose_are_ignored(self, tmp_path):
+        root = make_repo(tmp_path, {
+            "README.md": (
+                "`benchmarks/results/<id>.txt` and `tests/test_*.py`;\n"
+                "prose mentioning benchmarks/nowhere.py is not code\n"
+            ),
+        })
+        assert check_repo(str(root)) == []
+
+
 class TestDiscoveryAndCli:
     def test_docs_files_covers_readme_and_docs_tree(self, tmp_path):
         root = make_repo(tmp_path, {
             "README.md": "x\n",
+            "DESIGN.md": "x\n",
+            "EXPERIMENTS.md": "x\n",
             "docs/index.md": "x\n",
             "docs/deep/page.md": "x\n",
             "docs/notes.txt": "not markdown\n",
         })
         names = [os.path.relpath(p, root) for p in docs_files(str(root))]
-        assert names[0] == "README.md"
-        assert set(names) == {"README.md", "docs/index.md",
-                              "docs/deep/page.md"}
+        assert names[:3] == ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        assert set(names) == {"README.md", "DESIGN.md", "EXPERIMENTS.md",
+                              "docs/index.md", "docs/deep/page.md"}
 
     def test_cli_exit_codes_and_summary(self, tmp_path, capsys):
         root = make_repo(tmp_path, {"docs/index.md": "[gone](missing.md)\n"})

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
+from repro.obs.tracer import Tracer, set_tracer
 from repro.stats.ltm import fit_latent_transitions
-from repro.stats.mixture import fit_poisson_mixture, select_poisson_mixture
+from repro.stats.mixture import (
+    PoissonMixtureResult,
+    fit_poisson_mixture,
+    select_poisson_mixture,
+)
 
 
 def two_class_counts(seed=0, n1=600, n2=300, lam1=(5.0, 0.5), lam2=(0.5, 3.0)):
@@ -75,6 +81,133 @@ class TestPoissonMixture:
         a = fit_poisson_mixture(Y, 2, seed=7)
         b = fit_poisson_mixture(Y, 2, seed=7)
         assert a.log_likelihood == pytest.approx(b.log_likelihood)
+
+
+# --------------------------------------------------------------------- #
+# Dense row-level EM: the reference the distinct-pattern EM must equal.
+# --------------------------------------------------------------------- #
+
+
+def _dense_log_emission(Y, rates):
+    log_rates = np.log(rates)
+    term = Y @ log_rates.T - rates.sum(axis=1)[None, :]
+    return term - gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+
+
+def _dense_em_once(Y, k, rng, max_iter, tol, reseeds):
+    n, d = Y.shape
+    seeds = rng.choice(n, size=k, replace=n < k)
+    rates = Y[seeds] + rng.uniform(0.05, 0.5, size=(k, d))
+    rates = np.maximum(rates, 1e-4)
+    weights = np.full(k, 1.0 / k)
+
+    loglik = -np.inf
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        log_joint = _dense_log_emission(Y, rates) + np.log(weights)[None, :]
+        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        new_loglik = float(log_norm.sum())
+        resp = np.exp(log_joint - log_norm)
+
+        mass = resp.sum(axis=0)
+        empty = mass < 1e-8
+        if np.any(empty):
+            reseeds.append(iteration)
+            worst = np.argsort(log_norm.ravel())[: int(empty.sum())]
+            for class_index, point in zip(np.where(empty)[0], worst):
+                rates[class_index] = np.maximum(Y[point] + 0.1, 1e-4)
+                mass[class_index] = 1.0
+        weights = np.maximum(mass, 1e-8)
+        weights = weights / weights.sum()
+        rates = (resp.T @ Y) / np.maximum(mass[:, None], 1e-8)
+        rates = np.maximum(rates, 1e-4)
+
+        if np.isfinite(loglik) and abs(new_loglik - loglik) <= tol * (1.0 + abs(loglik)):
+            loglik = new_loglik
+            converged = True
+            break
+        loglik = new_loglik
+    return rates, weights, loglik, converged, iteration
+
+
+def dense_fit(Y, k, n_init, seed, max_iter=300, tol=1e-7):
+    """The row-level fit as it stood before EM moved to distinct rows."""
+    Y = np.asarray(Y, dtype=float)
+    rng = np.random.default_rng(seed)
+    reseeds = []
+    best = None
+    for _ in range(max(1, n_init)):
+        candidate = _dense_em_once(Y, k, rng, max_iter, tol, reseeds)
+        if best is None or candidate[2] > best[2]:
+            best = candidate
+    rates, weights, loglik, converged, n_iter = best
+    order = np.argsort(-weights)
+    model = PoissonMixtureResult(
+        rates=rates[order], weights=weights[order], log_likelihood=loglik,
+        n_obs=len(Y), feature_names=[f"f{j}" for j in range(Y.shape[1])],
+        converged=converged, n_iter=n_iter,
+    )
+    return model, reseeds
+
+
+def assert_matches_dense(Y, k, n_init=2, seed=0):
+    reference, reseeds = dense_fit(Y, k, n_init, seed)
+    model = fit_poisson_mixture(Y, k, n_init=n_init, seed=seed, max_iter=300)
+    np.testing.assert_allclose(model.rates, reference.rates, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(model.weights, reference.weights, rtol=0, atol=1e-9)
+    assert model.log_likelihood == pytest.approx(reference.log_likelihood, rel=1e-12)
+    assert model.n_iter == reference.n_iter
+    assert model.converged == reference.converged
+    np.testing.assert_array_equal(model.assign(Y), reference.assign(Y))
+    return reseeds
+
+
+class TestDenseParity:
+    def test_heavily_duplicated_panel(self):
+        rng = np.random.default_rng(1)
+        lam = rng.uniform(0.05, 1.5, size=(4, 6))
+        Y = rng.poisson(lam[rng.integers(0, 4, 20000)]).astype(float)
+        assert len(np.unique(Y, axis=0)) < len(Y) / 5
+        assert_matches_dense(Y, 4)
+
+    def test_dead_class_reseeding(self):
+        # Three large-count profiles plus two noise rows: with five
+        # classes, some lose all their mass during EM.
+        rng = np.random.default_rng(28)
+        base = rng.poisson(300.0 * rng.uniform(0, 1, (3, 3)))
+        Y = np.vstack([base[rng.integers(0, 3, 20)], rng.poisson(300.0, (2, 3))])
+        reseeds = assert_matches_dense(Y.astype(float), 5, seed=28)
+        assert reseeds, "the case no longer exercises dead-class reseeding"
+
+    def test_more_classes_than_distinct_rows(self):
+        Y = np.repeat(np.array([[0.0, 1.0], [3.0, 0.0], [1.0, 1.0]]), 10, axis=0)
+        assert_matches_dense(Y, 5)
+
+
+class TestFitDiagnostics:
+    def test_restarts_recorded_and_best_selected(self):
+        Y = two_class_counts(n1=200, n2=100)
+        model = fit_poisson_mixture(Y, 2, n_init=3, seed=4)
+        assert len(model.restarts) == 3
+        best = max(model.restarts, key=lambda run: run[0])
+        assert (model.log_likelihood, model.converged, model.n_iter) == best
+
+    def test_default_budget_converges(self):
+        Y = two_class_counts()
+        assert fit_poisson_mixture(Y, 2, seed=0).converged
+
+    def test_tracer_counts_fits_and_unconverged(self):
+        Y = two_class_counts(n1=100, n2=100)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            fit_poisson_mixture(Y, 2, seed=0)
+            fit_poisson_mixture(Y, 2, seed=0, max_iter=2)
+        finally:
+            set_tracer(previous)
+        assert tracer.counters["stats.em.fits"] == 2
+        assert tracer.counters["stats.em.unconverged"] == 1
 
 
 class TestSelection:
